@@ -25,7 +25,7 @@
 //! The scale stage (DESIGN.md §14) is separate because its numbers are
 //! memory- as well as time-shaped:
 //!
-//! * `perfbench --scale [--full] [OUT]` — the site-sharded streaming
+//! * `perfbench --scale [--full] [OUT]` — the sited streaming
 //!   ladder (1k/10k/100k clients, 1M with `--full`), ascending so each
 //!   stage's `VmHWM` read is its own peak; lands in `BENCH_7.json` as
 //!   `scale_<n> → {wall_ms, events_per_sec, peak_rss_mb}`.

@@ -78,7 +78,7 @@ pub fn run_figure() -> Vec<Table> {
     // perfbench scale stage, run directly (short fixed horizon, streaming
     // metrics — the shared run cache would override the duration).
     let mut scale = Table::new(
-        "Fig 3 (scale): site-sharded scAtteR beyond the testbed's client counts",
+        "Fig 3 (scale): sited scAtteR beyond the testbed's client counts",
         &[
             "clients",
             "sites",

@@ -19,10 +19,9 @@
 //! match exactly. Tail sampling keeps 100 % of the anomalies while
 //! retaining a fraction of the frames.
 //!
-//! **Gate C — replay.** The same observed chaos run executes three
-//! times — twice with one event-queue shard, once with three. The
+//! **Gate C — replay.** The same observed chaos run executes twice. The
 //! flight-recorder dump JSON bytes, the tail stats, and the retained
-//! trace log must be bit-identical across all three. The dumps are also
+//! trace log must be bit-identical across both. The dumps are also
 //! written to `results/flightrec_des_*.json` as the run's forensic
 //! artifact.
 //!
@@ -341,7 +340,7 @@ fn gate_retention(smoke: bool) -> RetentionPoint {
 }
 
 // ---------------------------------------------------------------------
-// Gate C — bit-identical replay across reruns and shard counts
+// Gate C — bit-identical replay across reruns
 // ---------------------------------------------------------------------
 
 pub struct ReplayPoint {
@@ -377,13 +376,12 @@ fn fingerprint(log: &TraceLog, artifacts: &scatter::ObsArtifacts) -> u64 {
 }
 
 fn gate_replay(smoke: bool) -> ReplayPoint {
-    let shard_plan: [(usize, &str); 3] = [(1, "run 1"), (1, "rerun"), (3, "3 shards")];
     let mut runs = Vec::new();
     let mut dumps = 0;
-    for (i, (shards, label)) in shard_plan.iter().enumerate() {
+    for (i, label) in ["run", "rerun"].into_iter().enumerate() {
         let cfg = retention_cfg(smoke)
             .with_observatory(observatory::ObservatoryConfig::default())
-            .with_scale(ScaleConfig::new(2).exact().with_shards(*shards));
+            .with_scale(ScaleConfig::new(2).exact());
         let (_, log, artifacts) = run_experiment_observed_with(cfg, calm_cost());
         if i == 0 {
             dumps = artifacts.flight_dumps.len();
@@ -396,10 +394,7 @@ fn gate_replay(smoke: bool) -> ReplayPoint {
                 Err(e) => eprintln!("observatory: cannot write DES flight dumps: {e}"),
             }
         }
-        runs.push((
-            format!("{label} (shards={shards})"),
-            fingerprint(&log, &artifacts),
-        ));
+        runs.push((label.to_string(), fingerprint(&log, &artifacts)));
     }
     ReplayPoint { runs, dumps }
 }
@@ -616,7 +611,7 @@ pub fn run_study(smoke: bool) -> ObservatoryStudy {
     );
     eprintln!("observatory: gate B (anomaly retention vs record-everything)...");
     let retention = gate_retention(smoke);
-    eprintln!("observatory: gate C (bit-identical replay, shards 1/1/3)...");
+    eprintln!("observatory: gate C (bit-identical replay, run vs rerun)...");
     let replay = gate_replay(smoke);
     eprintln!("observatory: gate D (cross-plane anomaly agreement)...");
     let cross = gate_cross_plane(smoke);
@@ -705,7 +700,7 @@ pub fn run_study(smoke: bool) -> ObservatoryStudy {
     }
     t.note(format!(
         "gate: FNV-1a over dump JSON + tail stats + retained events identical across \
-         reruns and shard counts ({} dump(s) written to results/flightrec_des_*.json)",
+         reruns ({} dump(s) written to results/flightrec_des_*.json)",
         replay.dumps
     ));
     tables.push(t);

@@ -115,8 +115,7 @@ impl WireSimConfig {
 /// Scale-out shape of a run (see DESIGN.md §14). `None` on
 /// [`RunConfig::scale`] — the default — runs the legacy paper-sized
 /// world and is bit-identical to a pre-scale run. `Some` attaches
-/// clients to access sites, optionally shards the event queue by site,
-/// and optionally replaces the O(clients) exact per-client metric
+/// clients to access sites and optionally replaces the O(clients) exact per-client metric
 /// collectors with O(sites + buckets) streaming aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleConfig {
@@ -124,10 +123,6 @@ pub struct ScaleConfig {
     /// (clamped to ≥ 1). Clients attach round-robin; each site carries
     /// the client-host link set (Ethernet→E1, LAN→E2, Internet→cloud).
     pub sites: usize,
-    /// Event-queue shards (clamped to ≥ 1; overridable via
-    /// `SCATTER_SHARDS`). Sharding never changes results — see
-    /// [`simcore::Sim::with_shards`] — only heap sizes.
-    pub shards: usize,
     /// Streaming metrics: per-client QoS folds into histograms +
     /// counters instead of per-event vectors. Exact for counts and
     /// means; quantiles within one log-bucket width (≈2 %).
@@ -138,14 +133,8 @@ impl ScaleConfig {
     pub fn new(sites: usize) -> Self {
         ScaleConfig {
             sites,
-            shards: 1,
             streaming: true,
         }
-    }
-
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// Keep the exact per-client collectors (small-n validation runs).
@@ -203,7 +192,7 @@ pub struct RunConfig {
     /// keeps the cost model's abstract bytes and is bit-identical to a
     /// pre-wirev2 run.
     pub wire: Option<WireSimConfig>,
-    /// Scale-out shape: access sites, queue shards, streaming metrics.
+    /// Scale-out shape: access sites, streaming metrics.
     /// `None` (the default) is the legacy paper-sized world.
     pub scale: Option<ScaleConfig>,
     /// The observatory plane: tail-sampled tracing, anomaly-triggered
@@ -243,7 +232,7 @@ impl RunConfig {
         self
     }
 
-    /// Run the scale-out world shape (sites / shards / streaming).
+    /// Run the scale-out world shape (sites / streaming).
     pub fn with_scale(mut self, s: ScaleConfig) -> Self {
         self.scale = Some(s);
         self

@@ -116,8 +116,6 @@ pub struct WireReport {
 #[derive(Debug, Clone)]
 pub struct ScaleReport {
     pub sites: usize,
-    /// Effective event-queue shard count the run executed with.
-    pub shards: usize,
     /// Completions inside the measurement window, summed over clients —
     /// exact (the numerator of the mean-FPS fallback).
     pub completed_in_window: u64,

@@ -322,6 +322,35 @@ mod linux {
         _pad: [u8; 6],
     }
 
+    // The mirrors must match the kernel's LP64 layouts byte for byte: a
+    // drifted field would hand the syscalls garbage without any error,
+    // so a mismatch fails the build instead.
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    const _: () = {
+        use std::mem::{align_of, offset_of, size_of};
+        assert!(size_of::<IoVec>() == 16 && align_of::<IoVec>() == 8);
+        assert!(offset_of!(IoVec, base) == 0 && offset_of!(IoVec, len) == 8);
+
+        assert!(size_of::<MsgHdr>() == 56 && align_of::<MsgHdr>() == 8);
+        assert!(offset_of!(MsgHdr, name) == 0 && offset_of!(MsgHdr, namelen) == 8);
+        assert!(offset_of!(MsgHdr, iov) == 16 && offset_of!(MsgHdr, iovlen) == 24);
+        assert!(offset_of!(MsgHdr, control) == 32 && offset_of!(MsgHdr, controllen) == 40);
+        assert!(offset_of!(MsgHdr, flags) == 48);
+
+        assert!(size_of::<MMsgHdr>() == 64 && align_of::<MMsgHdr>() == 8);
+        assert!(offset_of!(MMsgHdr, hdr) == 0 && offset_of!(MMsgHdr, len) == 56);
+
+        assert!(size_of::<SockAddrIn>() == 16 && align_of::<SockAddrIn>() == 4);
+        assert!(offset_of!(SockAddrIn, family) == 0 && offset_of!(SockAddrIn, port) == 2);
+        assert!(offset_of!(SockAddrIn, addr) == 4 && offset_of!(SockAddrIn, zero) == 8);
+
+        // `CMSG_SPACE(sizeof(u16))` = 24; the data follows the 16-byte
+        // `cmsghdr` at `CMSG_DATA` = offset 16.
+        assert!(size_of::<SegCtrl>() == 24 && align_of::<SegCtrl>() == 8);
+        assert!(offset_of!(SegCtrl, cmsg_len) == 0 && offset_of!(SegCtrl, cmsg_level) == 8);
+        assert!(offset_of!(SegCtrl, cmsg_type) == 12 && offset_of!(SegCtrl, gso_size) == 16);
+    };
+
     extern "C" {
         fn sendmsg(fd: c_int, msg: *const MsgHdr, flags: c_int) -> isize;
         fn recvmmsg(

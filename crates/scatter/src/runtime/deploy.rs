@@ -25,9 +25,9 @@ use crate::obs::{RtClientObs, RtSvcObs};
 use crate::runtime::batch;
 use crate::runtime::impair::{Ep, ImpairedNet, ImpairmentProfile, RtSocket, SendDisposition};
 use crate::runtime::services::{
-    attribute_ingest_error, attribute_net_drop, is_would_block, run_service, send_msg_wire,
-    ExitReport, FaultCell, ServiceWiring, SharedCtx, SvcStats, WireRtConfig, RT_PHASES,
-    RT_PROF_SHIFT,
+    attribute_ingest_error, attribute_net_drop, count_mismatched, is_would_block, run_service,
+    send_msg_wire, ExitReport, FaultCell, ServiceWiring, SharedCtx, SvcStats, WireRtConfig,
+    RT_PHASES, RT_PROF_SHIFT,
 };
 use crate::runtime::stateful::{run_stateful_matching, run_stateful_sift, StatefulOptions};
 use crate::runtime::wire::{self, Reassembler, WireMsg};
@@ -43,6 +43,8 @@ pub struct RuntimeOptions {
     /// Client frame rate (Hz).
     pub fps: f64,
     /// Scene resolution (the 720p clip scaled down for CPU-only CV).
+    /// Above ~3.7 MP, `primary`'s raw forward exceeds
+    /// [`wire::MAX_PAYLOAD_BYTES`] and every frame counts as malformed.
     pub width: usize,
     pub height: usize,
     /// Sidecar staleness threshold in ms (0 disables, like scAtteR).
@@ -1069,6 +1071,7 @@ impl LocalDeployment {
                 }
             };
             let Some(msg) = reassembler.offer(frag) else {
+                count_mismatched(&mut reassembler, client_stats, None);
                 continue;
             };
             let Ok((msg, _meta)) = rx.finish(msg) else {
@@ -1399,6 +1402,59 @@ mod tests {
         assert_eq!(report.crash_drops, 0);
         assert_eq!(report.net_drops, 0);
         assert_eq!(report.kills, 0);
+    }
+
+    /// A forged uplink frame that declares 4096x4096 but is all empty
+    /// blocks (~256 KiB, 9 legal fragments) would make primary forward
+    /// 9.4 MB of raw pixels, past the wire's message bound. Primary must
+    /// drop and count it as malformed and keep serving.
+    #[test]
+    fn forged_oversized_frame_is_dropped_and_counted_by_primary() {
+        let dep = LocalDeployment::start(RuntimeOptions {
+            clients: 1,
+            frames: 1,
+            ..Default::default()
+        });
+        let (w, h) = (4096u32, 4096u32);
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&w.to_be_bytes());
+        payload.extend_from_slice(&h.to_be_bytes());
+        payload.push(85);
+        payload.resize(9 + (w as usize / 8) * (h as usize / 8), 0xFF);
+        let msg = WireMsg {
+            client: 0,
+            frame_no: 7,
+            step: ServiceKind::Primary,
+            emit_micros: dep.ctx.epoch.elapsed().as_micros() as u64,
+            return_port: 0,
+            trace_id: 7,
+            flags: 0,
+            sent_micros: 0,
+            payload: bytes::Bytes::from(payload),
+        };
+        let sock = bind_loopback();
+        // Paced, so the fragments never overrun the receive buffer.
+        for dg in wire::encode(&msg) {
+            sock.send_to(&dg, dep.primary_addr).unwrap();
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let primary = &dep.stats[ServiceKind::Primary.index()];
+        let malformed = || -> u64 {
+            primary
+                .iter()
+                .map(|s| s.malformed.load(Ordering::Relaxed))
+                .sum()
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while malformed() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(malformed(), 1, "the forged frame must be counted");
+        let alive = dep.handles.lock().unwrap()[ServiceKind::Primary.index()]
+            .iter()
+            .all(|h| h.as_ref().is_some_and(|h| !h.is_finished()));
+        assert!(alive, "primary must keep serving");
+        dep.shutdown();
     }
 
     /// The staleness filter drops frames when the budget is impossible.

@@ -147,8 +147,10 @@ pub struct ServiceWiring {
 /// How a whole message fared against the impairment shim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendOutcome {
-    /// At least one fragment reached the wire — the receiver owns any
+    /// At least one fragment passed the shim — the receiver owns any
     /// further attribution (partial loss ages out of its reassembler).
+    /// Send errors, an oversized message included, are counted in
+    /// `send_errors` and not attributed further.
     Delivered,
     /// The shim ate *every* fragment: the receiver can never know this
     /// message existed, so the SENDER must attribute the loss.
@@ -169,7 +171,25 @@ pub fn send_msg_obs(
     stats: &SvcStats,
     obs: Option<&RtSvcObs>,
 ) -> SendOutcome {
+    if refuse_oversized(msg, stats, obs) {
+        return SendOutcome::Delivered;
+    }
     send_datagrams(socket, to, &wire::encode(msg), stats, obs)
+}
+
+/// A payload above [`wire::MAX_PAYLOAD_BYTES`] cannot be fragmented
+/// within [`wire::MAX_FRAGMENTS`]: it is never sent and counts as one
+/// send error, like a message the kernel refuses. Returns whether the
+/// message was refused.
+fn refuse_oversized(msg: &WireMsg, stats: &SvcStats, obs: Option<&RtSvcObs>) -> bool {
+    if msg.payload.len() <= wire::MAX_PAYLOAD_BYTES {
+        return false;
+    }
+    stats.send_errors.fetch_add(1, Ordering::Relaxed);
+    if let Some(o) = obs {
+        o.send_errors.inc();
+    }
+    true
 }
 
 /// Ship a message under the deployment's wire dialect: v2 envelopes
@@ -188,6 +208,9 @@ pub fn send_msg_wire(
     obs: Option<&RtSvcObs>,
 ) -> SendOutcome {
     if wire_cfg.v2 {
+        if refuse_oversized(msg, stats, obs) {
+            return SendOutcome::Delivered;
+        }
         let (dgrams, _codec) =
             wirev2::encode_msg(msg, wire_cfg.policy.compress, kind, base_frame_no);
         send_datagrams(socket, to, &dgrams, stats, obs)
@@ -332,8 +355,22 @@ pub fn is_would_block(e: &std::io::Error) -> bool {
 /// out by capacity.
 pub const REASM_MAX_AGE: Duration = Duration::from_millis(1000);
 
+/// Count the fragments `reassembler` dropped for a `frag_count`
+/// mismatch as malformed.
+pub fn count_mismatched(reassembler: &mut Reassembler, stats: &SvcStats, obs: Option<&RtSvcObs>) {
+    let mismatched = reassembler.take_mismatched();
+    if mismatched > 0 {
+        stats.malformed.fetch_add(mismatched, Ordering::Relaxed);
+        if let Some(o) = obs {
+            o.malformed.add(mismatched);
+        }
+    }
+}
+
 /// Sweep aged partial messages and attribute every eviction (capacity
 /// or age) exactly once: `FragmentLoss` terminal + per-service counter.
+/// Fragments the reassembler dropped for a `frag_count` mismatch are
+/// counted as malformed.
 pub fn attribute_evictions(
     reassembler: &mut Reassembler,
     epoch: Instant,
@@ -342,6 +379,7 @@ pub fn attribute_evictions(
     obs: Option<&RtSvcObs>,
 ) {
     reassembler.sweep(REASM_MAX_AGE);
+    count_mismatched(reassembler, stats, obs);
     let at_ns = epoch_ns(epoch);
     for key in reassembler.drain_evicted() {
         stats.dropped_fragment.fetch_add(1, Ordering::Relaxed);
@@ -597,9 +635,16 @@ fn process(
             // grayscales (implicit) and dimension-reduces, forwarding
             // *raw* pixels — the compressed-vs-raw asymmetry that makes
             // fig. 11's hybrid split expensive.
+            let (w, h) = vision::codec::dimensions(&msg.payload).ok_or(WireError::PayloadValue)?;
+            let w = ((w as f32 * ctx.reduce) as usize).max(16);
+            let h = ((h as f32 * ctx.reduce) as usize).max(16);
+            // The raw forward must fit one wire message. A larger frame
+            // (a forged header, or a camera above ~3.7 MP) is refused
+            // here, before its decode allocates.
+            if wire::FRAME_HEADER_BYTES + w * h > wire::MAX_PAYLOAD_BYTES {
+                return Err(WireError::PayloadValue);
+            }
             let img = vision::codec::decode(msg.payload.clone()).ok_or(WireError::PayloadValue)?;
-            let w = ((img.width() as f32 * ctx.reduce) as usize).max(16);
-            let h = ((img.height() as f32 * ctx.reduce) as usize).max(16);
             Ok(encode_frame(&img.resize(w, h)))
         }
         ServiceKind::Sift => {
@@ -681,6 +726,34 @@ mod tests {
         }
     }
 
+    fn wire_msg(step: ServiceKind, payload: Bytes) -> WireMsg {
+        WireMsg {
+            client: 0,
+            frame_no: 0,
+            step,
+            emit_micros: 0,
+            return_port: 0,
+            trace_id: 0,
+            flags: 0,
+            sent_micros: 0,
+            payload,
+        }
+    }
+
+    /// One `process` call on a fresh message, with fresh stage state.
+    fn stage(ctx: &SharedCtx, kind: ServiceKind, payload: Bytes) -> Result<Bytes, WireError> {
+        let msg = wire_msg(kind, payload);
+        let mut rng = SimRng::new(1);
+        process(
+            kind,
+            &msg,
+            ctx,
+            &mut rng,
+            &mut HashMap::new(),
+            &mut HashMap::new(),
+        )
+    }
+
     /// Drive a frame through all five `process` stages in-process — the
     /// data plane without sockets.
     #[test]
@@ -691,17 +764,7 @@ mod tests {
         let mut rng = SimRng::new(9);
         let mut tracks = HashMap::new();
         for kind in crate::message::SERVICE_KINDS {
-            let msg = WireMsg {
-                client: 0,
-                frame_no: 0,
-                step: kind,
-                emit_micros: 0,
-                return_port: 0,
-                trace_id: 0,
-                flags: 0,
-                sent_micros: 0,
-                payload,
-            };
+            let msg = wire_msg(kind, payload);
             payload = process(kind, &msg, &ctx, &mut rng, &mut tracks, &mut HashMap::new())
                 .expect("stage output");
         }
@@ -718,29 +781,74 @@ mod tests {
     fn primary_reduces_dimensions() {
         let ctx = ctx();
         let scene = SceneGenerator::workplace_scaled(1, 256, 144);
-        let msg = WireMsg {
-            client: 0,
-            frame_no: 0,
-            step: ServiceKind::Primary,
-            emit_micros: 0,
-            return_port: 0,
-            trace_id: 0,
-            flags: 0,
-            sent_micros: 0,
-            payload: vision::codec::encode(&scene.frame(0), vision::codec::Quality(85)),
-        };
-        let out = process(
-            ServiceKind::Primary,
-            &msg,
-            &ctx,
-            &mut SimRng::new(1),
-            &mut HashMap::new(),
-            &mut HashMap::new(),
-        )
-        .unwrap();
+        let payload = vision::codec::encode(&scene.frame(0), vision::codec::Quality(85));
+        let out = stage(&ctx, ServiceKind::Primary, payload).unwrap();
         let img = decode_frame(out).unwrap();
         assert_eq!(img.width(), 192);
         assert_eq!(img.height(), 108);
+    }
+
+    /// A codec stream of `w`×`h` all-empty blocks: one end-of-block byte
+    /// per 8×8 block, so a huge header costs a small payload.
+    fn empty_codec_frame(w: u32, h: u32) -> Bytes {
+        let blocks = (w as usize).div_ceil(8) * (h as usize).div_ceil(8);
+        let mut v = Vec::with_capacity(9 + blocks);
+        v.extend_from_slice(&w.to_be_bytes());
+        v.extend_from_slice(&h.to_be_bytes());
+        v.push(85);
+        v.resize(9 + blocks, 0xFF);
+        Bytes::from(v)
+    }
+
+    /// A frame whose reduced raw forward would not fit one wire message
+    /// is a typed payload error, not a panic in the send path.
+    #[test]
+    fn primary_refuses_a_frame_the_wire_cannot_carry() {
+        let ctx = ctx();
+        let run = |payload| stage(&ctx, ServiceKind::Primary, payload);
+        // 2880x1620 reduces to 2160x1215, above the 2 MiB bound.
+        assert_eq!(
+            run(empty_codec_frame(2880, 1620)),
+            Err(WireError::PayloadValue)
+        );
+        assert_eq!(
+            run(empty_codec_frame(4096, 4096)),
+            Err(WireError::PayloadValue)
+        );
+        // 2560x1440 reduces to 1920x1080, which fits.
+        let out = run(empty_codec_frame(2560, 1440)).expect("fits the wire");
+        assert_eq!(out.len(), wire::FRAME_HEADER_BYTES + 1920 * 1080);
+    }
+
+    /// An oversized message is refused before fragmentation and counted
+    /// as one send error, in both wire dialects; nothing reaches the wire.
+    #[test]
+    fn oversized_message_is_counted_not_sent() {
+        use std::net::UdpSocket;
+        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        rx.set_nonblocking(true).unwrap();
+        let to = rx.local_addr().unwrap();
+        let tx = RtSocket::plain(
+            UdpSocket::bind("127.0.0.1:0").unwrap(),
+            crate::runtime::impair::Ep::Client,
+        );
+        let msg = wire_msg(
+            ServiceKind::Sift,
+            Bytes::from(vec![0u8; wire::MAX_PAYLOAD_BYTES + 1]),
+        );
+        let stats = SvcStats::default();
+        for v2 in [false, true] {
+            let cfg = WireRtConfig {
+                v2,
+                ..Default::default()
+            };
+            let out = send_msg_wire(&tx, to, &msg, &cfg, FrameKind::Plain, 0, &stats, None);
+            assert_eq!(out, SendOutcome::Delivered);
+        }
+        assert_eq!(stats.send_errors.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.bytes_sent.load(Ordering::Relaxed), 0);
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(rx.recv_from(&mut [0u8; 64]).is_err(), "nothing may be sent");
     }
 
     /// Regression: EINTR must land in the quiet-socket bucket. Before
@@ -762,25 +870,7 @@ mod tests {
     #[test]
     fn corrupt_payload_yields_none() {
         let ctx = ctx();
-        let msg = WireMsg {
-            client: 0,
-            frame_no: 0,
-            step: ServiceKind::Sift,
-            emit_micros: 0,
-            return_port: 0,
-            trace_id: 0,
-            flags: 0,
-            sent_micros: 0,
-            payload: Bytes::from_static(b"not a frame"),
-        };
-        assert!(process(
-            ServiceKind::Sift,
-            &msg,
-            &ctx,
-            &mut SimRng::new(1),
-            &mut HashMap::new(),
-            &mut HashMap::new()
-        )
-        .is_err());
+        let payload = Bytes::from_static(b"not a frame");
+        assert!(stage(&ctx, ServiceKind::Sift, payload).is_err());
     }
 }

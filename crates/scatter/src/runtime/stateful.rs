@@ -38,8 +38,8 @@ use crate::obs::RtSvcObs;
 use crate::runtime::batch::RecvBatch;
 use crate::runtime::impair::{RtSocket, SendDisposition};
 use crate::runtime::services::{
-    attribute_evictions, attribute_net_drop, epoch_ns, is_would_block, send_msg_obs, send_msg_wire,
-    ExitReport, FaultCell, SharedCtx, SvcStats, PH_RT_COMPUTE,
+    attribute_evictions, attribute_net_drop, count_mismatched, epoch_ns, is_would_block,
+    send_msg_obs, send_msg_wire, ExitReport, FaultCell, SharedCtx, SvcStats, PH_RT_COMPUTE,
 };
 use crate::runtime::wire::{
     self, decode_frame, decode_state, encode_result, encode_state, FrameKey, FrameState,
@@ -547,6 +547,8 @@ pub fn run_stateful_matching(
                             // wait already expired.
                             stats.late_fetch_rsp.fetch_add(1, Ordering::Relaxed);
                         }
+                    } else {
+                        count_mismatched(&mut fetch_reasm, &stats, obs.as_ref());
                     }
                 }
                 Ok(frag) => {

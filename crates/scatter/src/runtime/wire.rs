@@ -18,6 +18,18 @@ use crate::message::ServiceKind;
 /// below to keep the format valid for real NICs too.
 pub const CHUNK_BYTES: usize = 32 * 1024;
 
+/// Most fragments one message may span: 2 MiB of payload, above any
+/// frame or frame state the pipeline sends. The receiver rejects larger
+/// counts before sizing any reassembly buffer from them, so a forged
+/// header cannot make it reserve 65535 slots.
+pub const MAX_FRAGMENTS: u16 = 64;
+
+/// Largest payload one message can carry: [`MAX_FRAGMENTS`] full chunks.
+pub const MAX_PAYLOAD_BYTES: usize = CHUNK_BYTES * MAX_FRAGMENTS as usize;
+
+/// Bytes [`encode_frame`] puts before the pixels (width, height).
+pub const FRAME_HEADER_BYTES: usize = 8;
+
 /// Magic tag guarding against stray datagrams.
 pub const MAGIC: u32 = 0x5343_4154; // "SCAT"
 
@@ -71,7 +83,8 @@ pub enum WireError {
     BadMagic,
     /// Step index outside the five pipeline services.
     BadStep,
-    /// `frag_count == 0` or `frag_idx >= frag_count`.
+    /// `frag_count == 0`, `frag_count > MAX_FRAGMENTS`, or
+    /// `frag_idx >= frag_count`.
     BadFragmentIndex,
     /// Body length disagrees with the header's length field.
     LengthMismatch,
@@ -152,7 +165,18 @@ impl WireMsg {
 /// The payload [`Bytes`] is never cloned here: each fragment copies only
 /// its own `≤ CHUNK_BYTES` window once, into the datagram buffer the
 /// socket needs anyway (header and body must be contiguous on the wire).
+///
+/// # Panics
+///
+/// If the payload exceeds [`MAX_PAYLOAD_BYTES`]. The service send path
+/// refuses such a message before it gets here, so only a direct caller
+/// can trip this.
 pub fn encode(msg: &WireMsg) -> Vec<Bytes> {
+    assert!(
+        msg.payload.len() <= MAX_PAYLOAD_BYTES,
+        "{}-byte payload exceeds the wire's {MAX_PAYLOAD_BYTES}-byte message bound",
+        msg.payload.len()
+    );
     let frag_count = msg.payload.len().div_ceil(CHUNK_BYTES).max(1);
     let mut out = Vec::with_capacity(frag_count);
     for i in 0..frag_count {
@@ -222,7 +246,7 @@ pub fn decode_fragment(datagram: &[u8]) -> Result<Fragment, WireError> {
     let frag_idx = buf.get_u16();
     let frag_count = buf.get_u16();
     let len = buf.get_u32() as usize;
-    if frag_count == 0 || frag_idx >= frag_count {
+    if frag_count == 0 || frag_count > MAX_FRAGMENTS || frag_idx >= frag_count {
         return Err(WireError::BadFragmentIndex);
     }
     if buf.remaining() != len {
@@ -258,6 +282,9 @@ pub struct Reassembler {
     tombstones: HashSet<(u16, u32, u8)>,
     /// Evicted frames awaiting drop attribution.
     evicted: Vec<FrameKey>,
+    /// Fragments dropped because their `frag_count` disagreed with the
+    /// pending entry's, awaiting [`Reassembler::take_mismatched`].
+    mismatched: u64,
 }
 
 #[derive(Debug)]
@@ -287,7 +314,8 @@ impl Reassembler {
     }
 
     /// Offer one fragment; returns the completed message when the last
-    /// fragment lands.
+    /// fragment lands. A fragment whose `frag_count` disagrees with the
+    /// pending entry for its key is dropped and counted, never merged.
     pub fn offer(&mut self, frag: Fragment) -> Option<WireMsg> {
         let key = (frag.client, frag.frame_no, frag.step.index() as u8);
         if self.tombstones.contains(&key) {
@@ -296,8 +324,9 @@ impl Reassembler {
         // Single-fragment fast path (the overwhelmingly common case for
         // control and result messages): the fragment body *is* the
         // payload — hand the `Bytes` through without a pending entry or
-        // a reassembly copy.
-        if frag.frag_count == 1 {
+        // a reassembly copy. A count-1 fragment whose key has a pending
+        // multi-fragment entry falls through to the mismatch check.
+        if frag.frag_count == 1 && (self.pending.is_empty() || !self.pending.contains_key(&key)) {
             return Some(WireMsg {
                 client: frag.client,
                 frame_no: frag.frame_no,
@@ -323,10 +352,12 @@ impl Reassembler {
                 first_seen: Instant::now(),
             }
         });
-        if (frag.frag_idx as usize) < entry.parts.len()
-            && entry.parts[frag.frag_idx as usize].is_none()
-        {
-            entry.parts[frag.frag_idx as usize] = Some(frag.body);
+        if usize::from(frag.frag_count) != entry.parts.len() {
+            self.mismatched += 1;
+            return None;
+        }
+        if let Some(slot @ None) = entry.parts.get_mut(frag.frag_idx as usize) {
+            *slot = Some(frag.body);
             entry.received += 1;
         }
         if entry.received == entry.parts.len() {
@@ -396,6 +427,12 @@ impl Reassembler {
         }
     }
 
+    /// Take the number of fragments dropped for a `frag_count` mismatch
+    /// since the last call.
+    pub fn take_mismatched(&mut self) -> u64 {
+        std::mem::take(&mut self.mismatched)
+    }
+
     pub fn pending_count(&self) -> usize {
         self.pending.len()
     }
@@ -417,7 +454,7 @@ impl Reassembler {
 
 /// A grayscale frame payload (u8 pixels).
 pub fn encode_frame(img: &vision::GrayImage) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + img.width() * img.height());
+    let mut buf = BytesMut::with_capacity(FRAME_HEADER_BYTES + img.width() * img.height());
     buf.put_u32(img.width() as u32);
     buf.put_u32(img.height() as u32);
     for &v in img.data() {
@@ -464,7 +501,7 @@ pub fn encode_state(state: &FrameState) -> Bytes {
     // growing a BytesMut through several hundred KB reallocates the
     // whole frame-state payload multiple times otherwise.
     let cap = 12
-        + state.descriptors.len() * (5 * 4 + 2 + 128 * 4)
+        + state.descriptors.len() * STATE_RECORD_BYTES
         + state.fisher.len() * 4
         + state.candidates.len() * 4;
     let mut buf = BytesMut::with_capacity(cap);
@@ -493,6 +530,14 @@ pub fn encode_state(state: &FrameState) -> Bytes {
     buf.freeze()
 }
 
+/// Wire size of one descriptor in a frame-state payload: five `f32`
+/// keypoint fields, octave and level bytes, and the 128-d vector.
+const STATE_RECORD_BYTES: usize = 5 * 4 + 2 + 128 * 4;
+
+/// Smallest wire size of one result entry: the name-length byte and
+/// four `f32` corner pairs (an empty name).
+const RESULT_RECORD_MIN_BYTES: usize = 1 + 4 * 2 * 4;
+
 /// Decode a frame-state payload; typed errors like [`decode_frame`].
 pub fn decode_state(mut buf: Bytes) -> Result<FrameState, WireError> {
     if buf.remaining() < 4 {
@@ -502,9 +547,10 @@ pub fn decode_state(mut buf: Bytes) -> Result<FrameState, WireError> {
     if n > 100_000 {
         return Err(WireError::PayloadValue);
     }
-    let mut descriptors = Vec::with_capacity(n);
+    // `n` is untrusted: reserve only what the bytes present can fill.
+    let mut descriptors = Vec::with_capacity(n.min(buf.remaining() / STATE_RECORD_BYTES));
     for _ in 0..n {
-        if buf.remaining() < 5 * 4 + 2 + 128 * 4 {
+        if buf.remaining() < STATE_RECORD_BYTES {
             return Err(WireError::PayloadTruncated);
         }
         let keypoint = vision::Keypoint {
@@ -573,13 +619,14 @@ pub fn decode_result(mut buf: Bytes) -> Result<Vec<ResultEntry>, WireError> {
         return Err(WireError::PayloadTruncated);
     }
     let n = buf.get_u16() as usize;
-    let mut out = Vec::with_capacity(n);
+    // `n` is untrusted: reserve only what the bytes present can fill.
+    let mut out = Vec::with_capacity(n.min(buf.remaining() / RESULT_RECORD_MIN_BYTES));
     for _ in 0..n {
         if buf.remaining() < 1 {
             return Err(WireError::PayloadTruncated);
         }
         let len = buf.get_u8() as usize;
-        if buf.remaining() < len + 32 {
+        if buf.remaining() < len + 4 * 2 * 4 {
             return Err(WireError::PayloadTruncated);
         }
         let name = String::from_utf8(buf.copy_to_bytes(len).to_vec())
@@ -646,6 +693,63 @@ mod tests {
         let mut r = Reassembler::new();
         assert!(r.offer(decode_fragment(&frames[0]).unwrap()).is_none());
         assert_eq!(r.pending_count(), 1);
+    }
+
+    #[test]
+    fn fragment_count_above_bound_is_rejected_on_decode() {
+        let mut frag = encode(&msg(10))[0].to_vec();
+        // frag_count field (two bytes after frag_idx).
+        let off = HEADER_BYTES - 6;
+        frag[off..off + 2].copy_from_slice(&MAX_FRAGMENTS.to_be_bytes());
+        assert!(decode_fragment(&frag).is_ok(), "the bound itself is legal");
+        frag[off..off + 2].copy_from_slice(&(MAX_FRAGMENTS + 1).to_be_bytes());
+        assert_eq!(decode_fragment(&frag), Err(WireError::BadFragmentIndex));
+        frag[off..off + 2].copy_from_slice(&u16::MAX.to_be_bytes());
+        assert_eq!(decode_fragment(&frag), Err(WireError::BadFragmentIndex));
+    }
+
+    #[test]
+    fn largest_legal_message_round_trips() {
+        let m = msg(CHUNK_BYTES * usize::from(MAX_FRAGMENTS));
+        let frames = encode(&m);
+        assert_eq!(frames.len(), usize::from(MAX_FRAGMENTS));
+        let mut r = Reassembler::new();
+        let mut done = None;
+        for f in &frames {
+            done = r.offer(decode_fragment(f).unwrap());
+        }
+        assert_eq!(done.expect("complete"), m);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the wire's")]
+    fn encode_refuses_a_message_beyond_the_fragment_bound() {
+        encode(&msg(MAX_PAYLOAD_BYTES + 1));
+    }
+
+    #[test]
+    fn fragment_count_mismatch_is_dropped_and_counted() {
+        let m = msg(CHUNK_BYTES * 2 + 9);
+        let frames = encode(&m);
+        assert_eq!(frames.len(), 3);
+        let mut r = Reassembler::new();
+        assert!(r.offer(decode_fragment(&frames[0]).unwrap()).is_none());
+        // Same key, but the header claims a 5-fragment message.
+        let mut forged = decode_fragment(&frames[1]).unwrap();
+        forged.frag_count = 5;
+        assert!(r.offer(forged).is_none());
+        // A single-fragment claim on the same key is not delivered.
+        let mut forged = decode_fragment(&frames[1]).unwrap();
+        forged.frag_count = 1;
+        forged.frag_idx = 0;
+        assert!(r.offer(forged).is_none());
+        assert_eq!(r.take_mismatched(), 2);
+        assert_eq!(r.take_mismatched(), 0, "take resets the count");
+        // The genuine fragments still complete the original message.
+        assert!(r.offer(decode_fragment(&frames[1]).unwrap()).is_none());
+        let out = r.offer(decode_fragment(&frames[2]).unwrap());
+        assert_eq!(out.expect("complete"), m);
+        assert_eq!(r.pending_count(), 0);
     }
 
     #[test]

@@ -28,4 +28,4 @@ pub use link::{Delivery, Link};
 pub use netem::NetemProfile;
 pub use sites::SiteMap;
 pub use topology::{NodeId, Testbed, Topology};
-pub use udp::{NetTotals, UdpNet};
+pub use udp::UdpNet;

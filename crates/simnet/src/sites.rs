@@ -2,7 +2,7 @@
 //!
 //! At paper scale every client shares one network vantage point (the
 //! `client-host` node). At 100k–1M clients that single node is neither
-//! realistic nor useful for sharding, but making every client a
+//! realistic nor useful, but making every client a
 //! topology *node* would reintroduce the O(n²) state this refactor
 //! removes. [`SiteMap`] is the compact middle ground: clients are not
 //! nodes — each one carries a `u32` site index into a short list of
@@ -56,12 +56,6 @@ impl SiteMap {
         self.site_nodes.len()
     }
 
-    /// Site index of a client (also the event-queue shard key).
-    #[inline]
-    pub fn site_index(&self, client: usize) -> u32 {
-        self.of_client[client]
-    }
-
     /// Topology node a client's traffic enters and leaves through.
     #[inline]
     pub fn node_of(&self, client: usize) -> NodeId {
@@ -85,7 +79,7 @@ mod tests {
         assert_eq!(map.sites(), 3);
         assert_eq!(map.node_of(0), NodeId(0));
         assert_eq!(map.node_of(4), NodeId(1));
-        assert_eq!(map.site_index(5), 2);
+        assert_eq!(map.node_of(5), NodeId(2));
     }
 
     #[test]

@@ -186,16 +186,22 @@ pub fn encode(img: &GrayImage, quality: Quality) -> Bytes {
     buf.freeze()
 }
 
-/// Decode a stream produced by [`encode`].
-pub fn decode(mut data: Bytes) -> Option<GrayImage> {
-    if data.remaining() < 9 {
-        return None;
-    }
-    let w = data.get_u32() as usize;
-    let h = data.get_u32() as usize;
+/// The `(width, height)` a stream's header declares, read without
+/// decoding; `None` when [`decode`] would reject the header.
+pub fn dimensions(data: &[u8]) -> Option<(usize, usize)> {
+    let mut header = data.get(..9)?;
+    let w = header.get_u32() as usize;
+    let h = header.get_u32() as usize;
     if w == 0 || h == 0 || w > 16_384 || h > 16_384 {
         return None;
     }
+    Some((w, h))
+}
+
+/// Decode a stream produced by [`encode`].
+pub fn decode(mut data: Bytes) -> Option<GrayImage> {
+    let (w, h) = dimensions(&data)?;
+    data.advance(8);
     let quality = Quality(data.get_u8());
     let order = zigzag();
     let mut img = GrayImage::new(w, h);

@@ -8,7 +8,7 @@
 #   scripts/bench.sh                # write BENCH_2/BENCH_7/BENCH_9.json
 #   scripts/bench.sh out.json       # write the perf matrix elsewhere
 #
-# The scale stage (BENCH_7.json) measures the site-sharded client
+# The scale stage (BENCH_7.json) measures the sited client
 # ladder from DESIGN.md §14 — events/sec and peak RSS at 1k/10k/100k
 # clients; add `--full` by hand for the 1M point.
 #
@@ -29,11 +29,11 @@ env -u SCATTER_EXP_SECS -u SCATTER_JOBS -u SCATTER_RUN_CACHE \
     ./target/release/perfbench "${OUT}"
 
 echo "==> perfbench --scale -> BENCH_7.json"
-env -u SCATTER_EXP_SECS -u SCATTER_JOBS -u SCATTER_RUN_CACHE -u SCATTER_SHARDS \
+env -u SCATTER_EXP_SECS -u SCATTER_JOBS -u SCATTER_RUN_CACHE \
     ./target/release/perfbench --scale BENCH_7.json
 
 echo "==> udpbench -> BENCH_9.json"
 # Loopback data-plane pps (single / sharded / batched) plus a fresh
 # scale ladder so the cross-PR diff keeps a shared name set.
-env -u SCATTER_EXP_SECS -u SCATTER_JOBS -u SCATTER_RUN_CACHE -u SCATTER_SHARDS \
+env -u SCATTER_EXP_SECS -u SCATTER_JOBS -u SCATTER_RUN_CACHE \
     ./target/release/udpbench BENCH_9.json > /dev/null

@@ -30,6 +30,9 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q
 
+echo "==> benchmark self-tests (arbench)"
+cargo test -q --release --manifest-path arbench/Cargo.toml
+
 echo "==> perf smoke: parallel figure suite completes"
 SCATTER_EXP_SECS=2 SCATTER_JOBS=2 ./target/release/all > /dev/null
 
